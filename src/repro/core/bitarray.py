@@ -17,7 +17,7 @@ the real footprint of each representation.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from repro.errors import (
     BitIndexError,
@@ -30,6 +30,17 @@ try:
 except AttributeError:  # pragma: no cover - exercised on 3.9 only
     def _bit_count(value: int) -> int:
         return bin(value).count("1")
+
+
+def _out_of_range(what: str, index: int, size: int) -> BitIndexError:
+    return BitIndexError(f"{what} index {index} out of range [0, {size})")
+
+
+def _check_indices(indices: Iterable[int], size: int, what: str) -> None:
+    """Raise :class:`BitIndexError` for the first index outside ``[0, size)``."""
+    for index in indices:
+        if not 0 <= index < size:
+            raise _out_of_range(what, index, size)
 
 
 class BitArray:
@@ -61,9 +72,7 @@ class BitArray:
 
     def _check_index(self, index: int) -> None:
         if not 0 <= index < self._size:
-            raise BitIndexError(
-                f"bit index {index} out of range [0, {self._size})"
-            )
+            raise _out_of_range("bit", index, self._size)
 
     def get(self, index: int) -> bool:
         """Return the value of bit *index*."""
@@ -99,33 +108,57 @@ class BitArray:
         """
         buf = self._buf
         size = self._size
+        value = bool(value)
         changed: List[int] = []
-        append = changed.append
-        if value:
-            for index in indices:
-                if not 0 <= index < size:
-                    raise BitIndexError(
-                        f"bit index {index} out of range [0, {size})"
-                    )
-                byte_index = index >> 3
-                mask = 1 << (index & 7)
-                if not buf[byte_index] & mask:
-                    buf[byte_index] |= mask
-                    append(index)
-            self._popcount += len(changed)
-        else:
-            for index in indices:
-                if not 0 <= index < size:
-                    raise BitIndexError(
-                        f"bit index {index} out of range [0, {size})"
-                    )
-                byte_index = index >> 3
-                mask = 1 << (index & 7)
-                if buf[byte_index] & mask:
-                    buf[byte_index] &= ~mask & 0xFF
-                    append(index)
-            self._popcount -= len(changed)
+        for index in indices:
+            if not 0 <= index < size:
+                for done in changed:  # undo, so a bad batch changes nothing
+                    buf[done >> 3] ^= 1 << (done & 7)
+                raise _out_of_range("bit", index, size)
+            byte_index = index >> 3
+            mask = 1 << (index & 7)
+            if (buf[byte_index] & mask == 0) == value:
+                buf[byte_index] ^= mask
+                changed.append(index)
+        self._popcount += len(changed) if value else -len(changed)
         return changed
+
+    def contains_all(self, indices: Iterable[int]) -> bool:
+        """Return ``True`` when every bit in *indices* is set: a Bloom
+        probe over a precomputed position tuple, read straight from the
+        buffer.  Same answer and same :class:`BitIndexError` as
+        ``all(get(i) for i in indices)``, which also stops at the first
+        clear bit.
+        """
+        buf = self._buf
+        size = self._size
+        for index in indices:
+            if not 0 <= index < size:
+                raise _out_of_range("bit", index, size)
+            if not buf[index >> 3] & (1 << (index & 7)):
+                return False
+        return True
+
+    def apply_records(self, records: Iterable[Tuple[int, bool]]) -> int:
+        """Apply absolute ``(index, value)`` update records (Section
+        VI-A) as :meth:`set` would in order; return how many bits
+        changed.  Every index is validated before any bit changes.
+        """
+        records = list(records)
+        _check_indices((index for index, _value in records), self._size, "bit")
+        buf = self._buf
+        rose = fell = 0
+        for index, value in records:
+            byte_index = index >> 3
+            mask = 1 << (index & 7)
+            if (buf[byte_index] & mask == 0) == bool(value):
+                buf[byte_index] ^= mask
+                if value:
+                    rose += 1
+                else:
+                    fell += 1
+        self._popcount += rose - fell
+        return rose + fell
 
     def flipped_indices(self, other: "BitArray") -> List[Tuple[int, bool]]:
         """Positions where this array differs from *other*, as
@@ -274,9 +307,7 @@ class CounterArray:
 
     def _locate(self, index: int) -> Tuple[int, int]:
         if not 0 <= index < self._size:
-            raise BitIndexError(
-                f"counter index {index} out of range [0, {self._size})"
-            )
+            raise _out_of_range("counter", index, self._size)
         per_byte = 8 // self._width
         byte_index = index // per_byte
         shift = (index % per_byte) * self._width
@@ -323,6 +354,65 @@ class CounterArray:
             )
         self._put(index, value - 1)
         return value - 1
+
+    def increment_many(self, indices: Sequence[int]) -> List[int]:
+        """:meth:`increment` every position of *indices* in order (with
+        the same saturation rule and events), after range-checking them
+        all.  Returns the positions whose counter rose from 0 to 1.
+        """
+        _check_indices(indices, self._size, "counter")
+        buf = self._buf
+        width = self._width
+        top = self._max
+        per_byte = 8 // width
+        risen: List[int] = []
+        for index in indices:
+            byte_index = index // per_byte
+            shift = (index % per_byte) * width
+            byte = buf[byte_index]
+            value = (byte >> shift) & top
+            if value == top:
+                self._saturated += 1
+            else:
+                # value < top: adding one cannot carry out of the field.
+                buf[byte_index] = byte + (1 << shift)
+                if not value:
+                    risen.append(index)
+        return risen
+
+    def decrement_many(self, indices: Sequence[int]) -> List[int]:
+        """:meth:`decrement` every position of *indices* in order (with
+        the same stick-at-max rule); return the positions whose counter
+        fell from 1 to 0.  Nothing changes unless every index is in
+        range and every non-saturated counter holds at least as many
+        counts as its position occurs in *indices*; otherwise
+        :class:`~repro.errors.SummaryStateError` is raised.
+        """
+        _check_indices(indices, self._size, "counter")
+        buf = self._buf
+        width = self._width
+        top = self._max
+        per_byte = 8 // width
+        # Validate every position, planning the writes, before any write.
+        plan: List[Tuple[int, int, int]] = []
+        for index in indices:
+            byte_index = index // per_byte
+            shift = (index % per_byte) * width
+            value = (buf[byte_index] >> shift) & top
+            if value != top:
+                if value < indices.count(index):
+                    raise SummaryStateError(
+                        f"counter {index} underflow: {indices.count(index)} "
+                        f"decrement(s) of a counter at {value}"
+                    )
+                plan.append((index, byte_index, shift))
+        fallen: List[int] = []
+        for index, byte_index, shift in plan:
+            byte = buf[byte_index]
+            buf[byte_index] = byte - (1 << shift)
+            if (byte >> shift) & top == 1:
+                fallen.append(index)
+        return fallen
 
     def nonzero_indices(self) -> List[int]:
         """Return indices of all counters with nonzero value."""

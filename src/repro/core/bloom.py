@@ -154,9 +154,9 @@ class BloomFilter:
         """Return ``False`` if *key* is definitely absent, ``True`` if it may be present."""
         obs = self._obs
         if obs is None:
-            return all(self.bits.get(pos) for pos in self.positions(key))
+            return self.bits.contains_all(self.positions(key))
         start = perf_counter()
-        result = all(self.bits.get(pos) for pos in self.positions(key))
+        result = self.bits.contains_all(self.positions(key))
         obs.op_seconds.observe(perf_counter() - start)
         obs.probes.inc()
         if result:
@@ -168,11 +168,9 @@ class BloomFilter:
         keys = list(keys)
         obs = self._obs
         start = perf_counter() if obs is not None else 0.0
-        get = self.bits.get
+        contains_all = self.bits.contains_all
         positions = self.positions
-        results = [
-            all(get(pos) for pos in positions(key)) for key in keys
-        ]
+        results = [contains_all(positions(key)) for key in keys]
         if obs is not None:
             obs.op_seconds.observe(perf_counter() - start)
             obs.probes.inc(len(keys))
@@ -192,13 +190,10 @@ class BloomFilter:
         Records are absolute (set bit i to v), so replaying them is
         idempotent and a lost earlier update cannot corrupt later ones --
         the property the paper relies on to ship updates over unreliable
-        transport.
+        transport.  A record with an out-of-range index rejects the
+        whole batch before any bit changes.
         """
-        changed = 0
-        for index, value in flips:
-            if self.bits.set(index, value):
-                changed += 1
-        return changed
+        return self.bits.apply_records(flips)
 
     def reset(self) -> None:
         """Clear the filter (e.g. when a failed neighbour recovers)."""

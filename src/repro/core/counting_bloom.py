@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import struct
 from time import perf_counter
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.bitarray import CounterArray
 from repro.core.bloom import BloomFilter, _OP_BUCKETS
 from repro.core.hashing import Key, MD5HashFamily
-from repro.errors import ConfigurationError, ProtocolError, SummaryStateError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.obs.registry import MetricsRegistry, get_registry
 
 
@@ -139,16 +139,7 @@ class CountingBloomFilter:
 
     def add(self, key: Key) -> None:
         """Insert *key*, recording any 0 -> 1 bit flips for the next delta."""
-        obs = self._obs
-        start = perf_counter() if obs is not None else 0.0
-        for pos in self.filter.positions(key):
-            if self.counters.increment(pos) == 1:
-                self.filter.bits.set(pos, True)
-                self._pending_flips.append((pos, True))
-        self._keys_added += 1
-        if obs is not None:
-            obs.op_seconds.observe(perf_counter() - start)
-            obs.inserts.inc()
+        self._update(self.filter.positions(key), 1)
 
     def add_at(self, positions: Tuple[int, ...]) -> None:
         """Insert one key by its precomputed bit *positions*.
@@ -158,66 +149,50 @@ class CountingBloomFilter:
         digest stored at cache-insert time); anything else desynchronizes
         the filter from its peers' wire-spec positions.
         """
-        obs = self._obs
-        start = perf_counter() if obs is not None else 0.0
-        for pos in positions:
-            if self.counters.increment(pos) == 1:
-                self.filter.bits.set(pos, True)
-                self._pending_flips.append((pos, True))
-        self._keys_added += 1
-        if obs is not None:
-            obs.op_seconds.observe(perf_counter() - start)
-            obs.inserts.inc()
+        self._update(positions, 1)
 
     def add_many(self, keys: Iterable[Key]) -> None:
         """Insert every key in one batch (the rebuild/resync fast path).
 
         Equivalent to calling :meth:`add` per key -- same counters, same
-        bit flips, same pending-delta records -- but instruments and
-        attribute lookups are hoisted out of the loop.
+        bit flips, same pending-delta records -- but all positions go
+        through one counter update.
         """
         keys = list(keys)
-        obs = self._obs
-        start = perf_counter() if obs is not None else 0.0
         positions_of = self.filter.positions
-        increment = self.counters.increment
-        set_bit = self.filter.bits.set
-        record = self._pending_flips.append
-        for key in keys:
-            for pos in positions_of(key):
-                if increment(pos) == 1:
-                    set_bit(pos, True)
-                    record((pos, True))
-        self._keys_added += len(keys)
-        if obs is not None:
-            obs.op_seconds.observe(perf_counter() - start)
-            obs.inserts.inc(len(keys))
+        self._update(
+            [pos for key in keys for pos in positions_of(key)], len(keys)
+        )
 
     def remove(self, key: Key) -> None:
         """Delete *key*, recording any 1 -> 0 bit flips for the next delta.
 
         Removing a key that was never added raises
         :class:`~repro.errors.SummaryStateError`
-        (counter underflow) rather than silently corrupting the filter.
+        (counter underflow) rather than silently corrupting the filter;
+        the check covers every position before any counter changes, so
+        a bad remove leaves the filter untouched.
         """
+        self._update(self.filter.positions(key), -1)
+
+    def _update(self, positions: Sequence[int], keys: int) -> None:
+        """Count *keys* inserted (positive) or deleted (negative) at
+        *positions*, mirroring counter 0 <-> 1 crossings into the bit
+        array and the pending delta."""
         obs = self._obs
         start = perf_counter() if obs is not None else 0.0
-        positions = self.filter.positions(key)
-        # Validate all counters before mutating any, so a bad remove
-        # leaves the filter untouched.
-        for pos in positions:
-            if self.counters.get(pos) == 0:
-                raise SummaryStateError(
-                    f"remove of key not present in filter (counter {pos} is 0)"
-                )
-        for pos in positions:
-            if self.counters.decrement(pos) == 0:
-                self.filter.bits.set(pos, False)
-                self._pending_flips.append((pos, False))
-        self._keys_added -= 1
+        value = keys >= 0
+        if value:
+            flipped = self.counters.increment_many(positions)
+        else:
+            flipped = self.counters.decrement_many(positions)
+        if flipped:
+            self.filter.bits.set_many(flipped, value)
+            self._pending_flips.extend([(pos, value) for pos in flipped])
+        self._keys_added += keys
         if obs is not None:
             obs.op_seconds.observe(perf_counter() - start)
-            obs.deletes.inc()
+            (obs.inserts if value else obs.deletes).inc(abs(keys))
 
     def may_contain(self, key: Key) -> bool:
         """Membership probe against the local bit array."""
@@ -350,8 +325,7 @@ class CountingBloomFilter:
                 f"expected {expected}"
             )
         filt.counters.load_bytes(payload)
-        for index in filt.counters.nonzero_indices():
-            filt.filter.bits.set(index, True)
+        filt.filter.bits.set_many(filt.counters.nonzero_indices())
         filt._keys_added = keys_added
         return filt
 

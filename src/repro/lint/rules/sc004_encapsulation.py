@@ -33,10 +33,13 @@ STORAGE_ATTRIBUTES = ("bits", "counters", "bit_array", "counter_array")
 MUTATOR_METHODS = (
     "set",
     "set_many",
+    "apply_records",
     "flip",
     "reset",
     "increment",
+    "increment_many",
     "decrement",
+    "decrement_many",
     "load_from",
     "load_bytes",
     "apply_flips",

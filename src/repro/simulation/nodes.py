@@ -13,6 +13,7 @@ thinking time in between").
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
@@ -100,7 +101,9 @@ class SimOrigin:
         :attr:`delay`)."""
         if self.delay <= 0:
             return 0.0
-        frac = (hash(url) & 0xFFFF) / 0xFFFF
+        # crc32, not the builtin hash(): str hashes are salted per
+        # process (PYTHONHASHSEED), which would make every run differ.
+        frac = (zlib.crc32(url.encode()) & 0xFFFF) / 0xFFFF
         return self.delay * (0.9 + 0.2 * frac)
 
 
@@ -216,8 +219,7 @@ class SimProxy:
         for peer in self.peers:
             if key is None:
                 key = peer.shipped_summary.positions(request.url)
-            bits = peer.shipped_summary.bits
-            if all(bits.get(p) for p in key):
+            if peer.shipped_summary.bits.contains_all(key):
                 candidates.append(peer)
         return candidates
 

@@ -37,11 +37,7 @@ class BloomRemote(RemoteSummary):
         return self.filter.positions(url)
 
     def contains_key(self, key: Any) -> bool:
-        get = self.filter.bits.get
-        for pos in key:
-            if not get(pos):
-                return False
-        return True
+        return self.filter.bits.contains_all(key)
 
     def apply_delta(self, delta: SummaryDelta) -> None:
         if not isinstance(delta, BitFlipDelta):
@@ -114,11 +110,7 @@ class BloomSummary(LocalSummary):
         return self._cbf.filter.positions(url)
 
     def contains_key(self, key: Any) -> bool:
-        get = self._cbf.filter.bits.get
-        for pos in key:
-            if not get(pos):
-                return False
-        return True
+        return self._cbf.filter.bits.contains_all(key)
 
     def drain_delta(self) -> BitFlipDelta:
         return BitFlipDelta(flips=self._cbf.drain_flips())

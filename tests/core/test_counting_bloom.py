@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.counting_bloom import CountingBloomFilter
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SummaryStateError
 
 
 class TestAddRemove:
@@ -42,6 +42,27 @@ class TestAddRemove:
         with pytest.raises(ValueError):
             cbf.remove("http://never-added.com/y")
         assert cbf.snapshot() == before
+
+    def test_bad_remove_with_repeated_position_is_atomic(self):
+        # A never-added key whose positions repeat one counter that
+        # holds 1: every counter is nonzero, but the repeat underflows.
+        cbf = CountingBloomFilter(64)
+        key = next(
+            f"http://k{i}.com/"
+            for i in range(10_000)
+            if len(set(cbf.filter.positions(f"http://k{i}.com/"))) < 4
+        )
+        cbf.add_at(tuple(set(cbf.filter.positions(key))))
+        counters = cbf.counters.to_bytes()
+        bits = cbf.snapshot()
+        pending = cbf.peek_flips()
+        with pytest.raises(SummaryStateError):
+            cbf.remove(key)
+        assert cbf.counters.to_bytes() == counters
+        assert cbf.snapshot() == bits
+        assert cbf.peek_flips() == pending
+        assert cbf.pending_flip_count == len(pending)
+        assert cbf.keys_added == 1
 
     def test_keys_added_tracks_net_count(self):
         cbf = CountingBloomFilter(1024)

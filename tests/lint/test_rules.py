@@ -530,6 +530,32 @@ class TestSC004Encapsulation:
         )
         assert project.rule_counts(select="SC004") == {"SC004": 1}
 
+    def test_bulk_mutators_outside_core(self, project: LintProject) -> None:
+        project.write(
+            "src/repro/simulation/mod.py",
+            """\
+            def poke(summary, counters, positions):
+                counters.increment_many(positions)
+                counters.decrement_many(positions)
+                summary.filter.bits.apply_records([(1, True)])
+            """,
+        )
+        assert project.rule_counts(select="SC004") == {"SC004": 3}
+
+    def test_bulk_mutators_inside_core_allowed(
+        self, project: LintProject
+    ) -> None:
+        project.write(
+            "src/repro/core/mod.py",
+            """\
+            def poke(summary, counters, positions):
+                counters.increment_many(positions)
+                counters.decrement_many(positions)
+                summary.filter.bits.apply_records([(1, True)])
+            """,
+        )
+        assert project.lint(select="SC004") == []
+
     def test_private_storage_access(self, project: LintProject) -> None:
         project.write(
             "src/repro/sharing/mod.py",

@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.errors import ConfigurationError
 from repro.simulation.nodes import SimProxyConfig
@@ -176,3 +184,37 @@ class TestValidation:
             unicast.hit_ratio, rel=0.05
         )
         assert chain.udp_sent == chain.udp_received
+
+
+#: Runs a tiny scale experiment and prints its simulated statistics.
+_SCALE_SCRIPT = """
+import json
+from repro.simulation.scale import run_scale_experiment
+from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
+
+trace = generate_trace(SyntheticTraceConfig(
+    name="hashseed", num_requests=800, num_clients=16, num_documents=300,
+    mean_size=2048, max_size=16 * 1024, seed=5,
+))
+result = run_scale_experiment(
+    trace, num_proxies=4, cache_capacity=64 * 1024, origin_delay=0.1,
+).to_dict()
+for host_only in ("wall_seconds", "peak_rss_bytes"):
+    result.pop(host_only)
+print(json.dumps(result, sort_keys=True))
+"""
+
+
+def test_results_independent_of_string_hash_seed():
+    """Simulated statistics must not depend on PYTHONHASHSEED, which
+    salts the builtin str hash differently in every process."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _SCALE_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        outputs.append(json.loads(proc.stdout))
+    assert outputs[0] == outputs[1]
