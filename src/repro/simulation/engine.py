@@ -4,9 +4,9 @@ Three primitives are enough for the proxy experiments:
 
 - :class:`Engine` -- the event heap and clock.  Processes are plain
   generators driven by the engine; a process may ``yield`` either a
-  float (sleep that many simulated seconds) or a :class:`Signal`
-  (park until the signal fires; the fired value is returned by the
-  ``yield``).
+  number (sleep that many simulated seconds; a ``bool`` is an error)
+  or a :class:`Signal` (park until the signal fires; the fired value
+  is returned by the ``yield``).
 - :class:`Signal` -- a one-shot wakeup channel, the DES analogue of a
   future.
 - :class:`Resource` -- a non-preemptive FIFO server (we use one per
@@ -14,15 +14,18 @@ Three primitives are enough for the proxy experiments:
   the resource has dedicated *t* seconds to the job; total busy time is
   tracked for utilization/CPU accounting.
 
-The kernel is deterministic: ties in time are broken by scheduling
-order.
+Every event is scheduled through :meth:`Engine.call_later`, and every
+delay or service time must be finite and >= 0 (NaN would break the
+heap order).  The kernel is deterministic: ties in time are broken by
+scheduling order.
 """
 
 from __future__ import annotations
 
-import heapq
 import logging
 from collections import deque
+from heapq import heappop, heappush
+from math import inf
 from time import perf_counter
 from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
@@ -85,16 +88,13 @@ class Signal:
             raise SimulationError("signal fired twice")
         self._fired = True
         self._value = value
-        waiters, self._waiters = self._waiters, []
-        for process in waiters:
-            self._engine._resume(process, value)
-
-    def _park(self, process: Process) -> bool:
-        """Park *process* on this signal; returns False if already fired."""
-        if self._fired:
-            return False
-        self._waiters.append(process)
-        return True
+        waiters = self._waiters
+        if waiters:
+            # Nothing parks on a fired signal, so the list is final.
+            self._waiters = []
+            resume = self._engine._resume
+            for process in waiters:
+                resume(process, value)
 
 
 class Resource:
@@ -115,29 +115,30 @@ class Resource:
     def serve(self, service_time: float) -> Signal:
         """Enqueue a job needing *service_time* seconds; returns its
         completion signal."""
-        if service_time < 0:
+        if not 0.0 <= service_time < inf:
             raise SimulationError(
-                f"negative service time {service_time} on {self.name}"
+                f"service time {service_time} on {self.name} must be "
+                "finite and >= 0"
             )
         done = Signal(self._engine)
-        self._queue.append((service_time, done))
-        if not self._busy:
-            self._start_next()
+        if self._busy:  # an idle resource has an empty queue
+            self._queue.append((service_time, done))
+        else:
+            self._start(service_time, done)
         return done
 
-    def _start_next(self) -> None:
-        if not self._queue:
-            self._busy = False
-            return
+    def _start(self, service_time: float, done: Signal) -> None:
         self._busy = True
-        service_time, done = self._queue.popleft()
         self.busy_time += service_time
         self.jobs += 1
         self._engine.call_later(service_time, self._finish, done)
 
     def _finish(self, done: Signal) -> None:
-        done.fire()
-        self._start_next()
+        done.fire()  # may queue more work here before the next job starts
+        if self._queue:
+            self._start(*self._queue.popleft())
+        else:
+            self._busy = False
 
     @property
     def queue_length(self) -> int:
@@ -163,13 +164,12 @@ class Engine:
         return self._now
 
     def call_later(self, delay: float, callback: Callable, *args) -> None:
-        """Schedule *callback* to run after *delay* simulated seconds."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
+        """Schedule *callback* to run after *delay* simulated seconds
+        (the only way an event enters the heap)."""
+        if not 0.0 <= delay < inf:
+            raise SimulationError(f"delay {delay} must be finite and >= 0")
         self._seq += 1
-        heapq.heappush(
-            self._heap, (self._now + delay, self._seq, callback, args)
-        )
+        heappush(self._heap, (self._now + delay, self._seq, callback, args))
 
     def signal(self) -> Signal:
         """Create a fresh signal bound to this engine."""
@@ -188,52 +188,56 @@ class Engine:
             yielded = process.send(value)
         except StopIteration:
             return
-        if isinstance(yielded, Signal):
-            if not yielded._park(process):
+        kind = type(yielded)
+        if kind is float:  # the common yields first
+            self.call_later(yielded, self._resume, process, None)
+        elif kind is Signal or isinstance(yielded, Signal):
+            if yielded._fired:
                 # Already fired: resume immediately with its value.
-                self.call_later(0.0, self._resume, process, yielded.value)
-        elif isinstance(yielded, (int, float)):
+                self.call_later(0.0, self._resume, process, yielded._value)
+            else:
+                yielded._waiters.append(process)
+        elif kind is not bool and isinstance(yielded, (int, float)):
             self.call_later(float(yielded), self._resume, process, None)
         else:
             raise SimulationError(
-                f"process yielded {type(yielded).__name__}; expected a "
+                f"process yielded {kind.__name__}; expected a "
                 "Signal or a number of seconds"
             )
 
     def run(self, until: Optional[float] = None) -> float:
-        """Run events until the heap drains or the clock passes *until*.
+        """Run events until the heap drains or the clock passes *until*
+        (which may not lie in the past).
 
         Returns the final simulated time.
         """
-        obs = self._obs
-        if obs is None:
-            while self._heap:
-                time, _seq, callback, args = self._heap[0]
-                if until is not None and time > until:
-                    self._now = until
-                    return self._now
-                heapq.heappop(self._heap)
-                self._now = time
-                callback(*args)
-            return self._now
-
-        start = perf_counter()
-        events = 0
+        if until is not None and not until >= self._now:
+            raise SimulationError(
+                f"run(until={until}) is before the current time {self._now}"
+            )
+        heap, obs = self._heap, self._obs
+        start, seq_before, depth_before = perf_counter(), self._seq, len(heap)
         try:
-            while self._heap:
-                time, _seq, callback, args = self._heap[0]
-                if until is not None and time > until:
-                    self._now = until
-                    return self._now
-                heapq.heappop(self._heap)
-                self._now = time
-                callback(*args)
-                events += 1
-                obs.queue_depth.set(len(self._heap))
+            if until is None:
+                while heap:
+                    self._now, _seq, callback, args = heappop(heap)
+                    callback(*args)
+            else:
+                while heap:
+                    if heap[0][0] > until:
+                        self._now = until
+                        break
+                    self._now, _seq, callback, args = heappop(heap)
+                    callback(*args)
             return self._now
         finally:
-            obs.events.inc(events)
-            obs.run_seconds.observe(perf_counter() - start)
-            logger.debug(
-                "engine.run finished events=%d sim_time=%.6f", events, self._now
-            )
+            if obs is not None:
+                # Every event entered the heap through call_later, so
+                # dispatched = pending before + scheduled - pending after.
+                events = self._seq - seq_before + depth_before - len(heap)
+                obs.events.inc(events)
+                obs.queue_depth.set(len(heap))
+                obs.run_seconds.observe(perf_counter() - start)
+                logger.debug(
+                    "engine.run finished events=%d sim_time=%.6f", events, self._now
+                )

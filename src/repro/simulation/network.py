@@ -44,10 +44,10 @@ class PacketCounters:
             + self.tcp_received
         )
 
-    def count_udp(self, other: "PacketCounters") -> None:
-        """Record one UDP datagram from ``self`` to ``other``."""
-        self.udp_sent += 1
-        other.udp_received += 1
+    def count_udp(self, other: "PacketCounters", datagrams: int = 1) -> None:
+        """Record *datagrams* UDP datagrams from ``self`` to ``other``."""
+        self.udp_sent += datagrams
+        other.udp_received += datagrams
 
     def count_tcp_exchange(
         self,

@@ -126,6 +126,8 @@ class SimProxy:
         self.network = network
         self.origin = origin
         self.cpu: Resource = engine.resource(f"cpu{index}")
+        #: One-way time of an ICP datagram (fixed size, so computed once).
+        self._icp_hop = network.transfer_time(ICP_DATAGRAM_BYTES)
         self.cpu_account = CpuAccount()
         self.counters = PacketCounters()
         self.local_summary = CountingBloomFilter.for_capacity(
@@ -248,10 +250,9 @@ class SimProxy:
             # network latency each way plus its own CPU queueing.
             done = self.engine.signal()
             self.engine.call_later(
-                self.network.transfer_time(ICP_DATAGRAM_BYTES),
-                self._peer_reply,
-                peer,
-                done,
+                self._icp_hop,
+                self.engine.spawn,
+                self._answer_query(peer, done),
             )
             reply_signals.append(done)
 
@@ -295,24 +296,21 @@ class SimProxy:
         self.bytes_served += request.size
         return True
 
-    def _peer_reply(self, peer: "SimProxy", done) -> None:
-        """Run the peer-side share of one query/reply exchange.
+    def _answer_query(self, peer: "SimProxy", done):
+        """Generator process: the peer-side share of one query/reply
+        exchange, spawned when the query reaches *peer*.
 
         The peer processes the query on its (single-threaded, FIFO)
         CPU -- ICP work contends with HTTP work, which is where the
         paper's latency overhead comes from -- then sends the reply.
         """
-
-        def process():
-            yield peer._charge(
-                user=peer.costs.icp_user * 2,
-                system=peer.costs.icp_system * 2,
-            )
-            peer.counters.count_udp(self.counters)
-            yield self.network_delay(ICP_DATAGRAM_BYTES)
-            done.fire()
-
-        self.engine.spawn(process())
+        yield peer._charge(
+            user=peer.costs.icp_user * 2,
+            system=peer.costs.icp_system * 2,
+        )
+        peer.counters.count_udp(self.counters)
+        yield self._icp_hop
+        done.fire()
 
     def _fetch_origin(self, request: Request):
         """Fetch from the origin pool: latency-dominated."""
@@ -365,9 +363,8 @@ class SimProxy:
             * len(self.peers),
         )
         for peer in self.peers:
-            for _ in range(num_messages):
-                self.counters.count_udp(peer.counters)
-                self.dirupdates_sent += 1
+            self.counters.count_udp(peer.counters, num_messages)
+            self.dirupdates_sent += num_messages
             peer.cpu_account.charge(
                 user=peer.costs.dirupdate_user * num_messages,
                 system=peer.costs.dirupdate_system * num_messages,
@@ -435,9 +432,8 @@ class SimProxy:
         """Count *sender*'s datagrams to heap slot *position* and
         schedule their delivery one network hop later."""
         receiver = order[position - 1]
-        for _ in range(num_messages):
-            sender.counters.count_udp(receiver.counters)
-            sender.dirupdates_sent += 1
+        sender.counters.count_udp(receiver.counters, num_messages)
+        sender.dirupdates_sent += num_messages
         self.engine.call_later(
             self.network.transfer_time(message_bytes),
             self._hierarchy_deliver,
@@ -476,13 +472,10 @@ class SimProxy:
 
     # -- helpers ---------------------------------------------------------
 
-    def network_delay(self, num_bytes: int):
-        """A signal firing after one-way delivery of *num_bytes*."""
-        done = self.engine.signal()
-        self.engine.call_later(
-            self.network.transfer_time(num_bytes), done.fire
-        )
-        return done
+    def network_delay(self, num_bytes: int) -> float:
+        """Seconds of one-way delivery of *num_bytes*; a process yields
+        it to wait that long."""
+        return self.network.transfer_time(num_bytes)
 
 
 class SimClient:

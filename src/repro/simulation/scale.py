@@ -95,9 +95,11 @@ def _client_feed(
     One full scan of *trace* per client; with an mmap reader a scan is a
     sequential page-cache walk, so N proxies never hold N copies.
     """
+    group_of(group, num_proxies)  # validates num_proxies once
     position = 0
     for req in trace:
-        if group_of(req.client_id, num_proxies) != group:
+        # group_of's rule (clientid mod groups), inlined for the hot loop.
+        if req.client_id % num_proxies != group:
             continue
         if position % clients_per_proxy == slot:
             yield req

@@ -5,7 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
+from repro.obs.registry import MetricsRegistry, set_registry
 from repro.simulation.engine import Engine
+
+NON_FINITE = [float("nan"), float("inf")]
 
 
 class TestEventOrdering:
@@ -47,6 +50,39 @@ class TestEventOrdering:
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
             Engine().call_later(-1, lambda: None)
+
+    @pytest.mark.parametrize("delay", NON_FINITE)
+    def test_non_finite_delay_rejected(self, delay):
+        with pytest.raises(SimulationError):
+            Engine().call_later(delay, lambda: None)
+
+    def test_nan_cannot_break_the_heap_order(self):
+        # A NaN time compares false with everything, so once on the heap
+        # it would scramble the order of the events around it.
+        engine = Engine()
+        order = []
+        for delay in (3.0, float("nan"), 1.0, 2.0, 0.5):
+            try:
+                engine.call_later(delay, order.append, delay)
+            except SimulationError:
+                pass
+        engine.run()
+        assert order == [0.5, 1.0, 2.0, 3.0]
+
+    def test_run_until_before_now_rejected(self):
+        engine = Engine()
+        engine.call_later(2.0, lambda: None)
+        assert engine.run(until=1.0) == 1.0
+        with pytest.raises(SimulationError):
+            engine.run(until=0.5)
+        assert engine.now == 1.0
+        # The clock never moved back, and the pending event still runs.
+        assert engine.run() == 2.0
+
+    def test_run_until_beyond_last_event_stops_at_last_event(self):
+        engine = Engine()
+        engine.call_later(1.0, lambda: None)
+        assert engine.run(until=5.0) == 1.0
 
 
 class TestProcesses:
@@ -96,6 +132,41 @@ class TestProcesses:
 
         def process():
             yield "not-a-signal"
+
+        engine.spawn(process())
+        with pytest.raises(SimulationError):
+            engine.run()
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_yield_bool_raises(self, flag):
+        # bool is an int subclass; it must not read as 1 or 0 seconds.
+        engine = Engine()
+
+        def process():
+            yield flag
+
+        engine.spawn(process())
+        with pytest.raises(SimulationError):
+            engine.run()
+
+    def test_yield_int_sleeps(self):
+        engine = Engine()
+        trace = []
+
+        def process():
+            yield 2
+            trace.append(engine.now)
+
+        engine.spawn(process())
+        engine.run()
+        assert trace == [2.0]
+
+    @pytest.mark.parametrize("delay", NON_FINITE)
+    def test_yield_non_finite_raises(self, delay):
+        engine = Engine()
+
+        def process():
+            yield delay
 
         engine.spawn(process())
         with pytest.raises(SimulationError):
@@ -195,3 +266,57 @@ class TestResource:
         engine = Engine()
         with pytest.raises(SimulationError):
             engine.resource().serve(-0.1)
+
+    @pytest.mark.parametrize("service", NON_FINITE)
+    def test_non_finite_service_time_raises(self, service):
+        engine = Engine()
+        cpu = engine.resource()
+        with pytest.raises(SimulationError):
+            cpu.serve(service)
+        assert cpu.busy_time == 0.0
+        assert cpu.jobs == 0
+
+
+@pytest.fixture
+def registry():
+    """A live registry for engines built during the test."""
+    live = MetricsRegistry()
+    previous = set_registry(live)
+    try:
+        yield live
+    finally:
+        set_registry(previous)
+
+
+class TestEngineMetrics:
+    def _schedule(self, engine, ran):
+        def tick(label):
+            ran.append(label)
+            if label < 3:
+                engine.call_later(1.0, tick, label + 10)
+
+        for delay in (0.0, 1.0, 2.0, 5.0, 9.0):
+            engine.call_later(delay, tick, int(delay))
+
+    def test_events_counted_without_until(self, registry):
+        engine = Engine()
+        ran = []
+        self._schedule(engine, ran)
+        engine.run()
+        assert registry.counter("sim_events_total").value == len(ran) == 8
+        assert registry.gauge("sim_queue_depth").current() == 0
+        assert registry.histogram("sim_run_seconds").count == 1
+
+    def test_events_counted_with_until(self, registry):
+        engine = Engine()
+        ran = []
+        self._schedule(engine, ran)
+        engine.run(until=2.5)
+        assert registry.counter("sim_events_total").value == len(ran)
+        # Pending: label 12 at t=3, labels 5 and 9.
+        assert len(ran) == 5
+        assert registry.gauge("sim_queue_depth").current() == 3
+        engine.run()
+        assert registry.counter("sim_events_total").value == len(ran) == 8
+        assert registry.gauge("sim_queue_depth").current() == 0
+        assert registry.histogram("sim_run_seconds").count == 2

@@ -32,6 +32,8 @@ class TestPacketCounters:
         assert b.udp_received == 1
         assert a.total_packets == 1
         assert b.total_packets == 1
+        a.count_udp(b, 5)
+        assert (a.udp_sent, b.udp_received) == (6, 6)
 
     def test_tcp_exchange_is_symmetric(self):
         a, b = PacketCounters(), PacketCounters()
