@@ -10,11 +10,16 @@ data plane needs (GETs only, ``Content-Length``-framed bodies):
   stream ends.  Pipelined requests are answered strictly in order --
   the reader consumes one head at a time, so a client may write several
   requests back to back and the kernel/stream buffers bound the
-  read-ahead.
-- **Streamed, bounded body I/O.**  Bodies are written as
-  :class:`memoryview` slices over the cached ``bytes`` object
-  (:func:`stream_body`), draining only when the transport's write
-  buffer exceeds the caller's in-flight ceiling; bodies are read in
+  read-ahead.  The idle timeout reaps a read that has waited that long
+  for a whole request head; :class:`IdleDeadline` enforces it with one
+  timer per connection, not a ``wait_for`` per request, by cancelling
+  the connection's task.
+- **One write per response, streamed and bounded body I/O.**
+  :func:`stream_body` sends the response head together with the first
+  body chunk, so a body of at most one chunk costs one send; longer
+  bodies continue as :class:`memoryview` slices over the cached
+  ``bytes`` object, draining only when the transport's write buffer
+  exceeds the caller's in-flight ceiling.  Bodies are read in
   bounded chunks into a preallocated buffer (:func:`read_body`), never
   through an unbounded ``reader.read()``/``readexactly()`` (lint rule
   SC001 enforces this for the whole proxy package).
@@ -45,7 +50,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional, Union
 
 from repro.errors import ProtocolError
 
@@ -285,10 +290,12 @@ def write_response(
     headers: Optional[Dict[str, str]] = None,
     keep_alive: bool = False,
 ) -> None:
-    """Serialize one whole response onto *writer* (caller drains).
+    """Serialize one whole response onto *writer* in one write (caller
+    drains).
 
-    For large bodies prefer :func:`stream_body` after writing
-    :func:`response_head`, which bounds the write buffer.
+    For bodies that may exceed a chunk, prefer :func:`stream_body` with
+    ``head=response_head(...)``: it also makes one write for a body of
+    at most one chunk, and bounds the write buffer for longer ones.
     """
     writer.write(response_head(status, len(body), headers, keep_alive) + body)
 
@@ -298,25 +305,108 @@ async def stream_body(
     body: bytes,
     chunk_size: int = DEFAULT_CHUNK_BYTES,
     max_inflight: int = DEFAULT_MAX_INFLIGHT,
+    head: bytes = b"",
 ) -> int:
-    """Stream *body* as zero-copy memoryview slices with backpressure.
+    """Write *head*, then stream *body* in slices with backpressure.
 
-    Writes *chunk_size* slices of the cached ``bytes`` object (no
-    copies on the Python side) and awaits ``drain()`` whenever the
-    transport reports more than *max_inflight* unsent bytes, so one
-    slow client cannot balloon the proxy's write buffers.  Returns the
-    number of backpressure waits taken (the
-    ``proxy_backpressure_waits_total`` increment).
+    A non-empty head travels in one write with (a copy of) the first
+    *chunk_size* slice, so a response whose body fits one chunk costs
+    one send.  Every other slice is a memoryview over the cached
+    ``bytes`` object (no copies on the Python side).  After each
+    write, ``drain()`` is awaited whenever the transport reports more
+    than *max_inflight* unsent bytes, so one slow client cannot balloon
+    the proxy's write buffers.  Returns the number of backpressure
+    waits taken (the ``proxy_backpressure_waits_total`` increment).
     """
     waits = 0
     view = memoryview(body)
     transport = writer.transport
-    for offset in range(0, len(view), chunk_size):
-        writer.write(view[offset : offset + chunk_size])
+    offset = 0
+    chunk: Union[bytes, memoryview] = view[:chunk_size]
+    if head:
+        chunk = head + chunk
+    while chunk:
+        writer.write(chunk)
         if transport.get_write_buffer_size() > max_inflight:
             waits += 1
             await writer.drain()
+        offset += chunk_size
+        chunk = view[offset : offset + chunk_size]
     return waits
+
+
+class IdleDeadline:
+    """A connection's idle timeout as one lazily re-armed timer.
+
+    Wrapping every read in ``asyncio.wait_for`` costs a timer (and, on
+    Python 3.11, a Task) per request.  Instead the task that serves the
+    connection creates one deadline, which keeps one ``loop.call_at``
+    handle, and brackets each read with :meth:`begin` and :meth:`end`.
+    When the handle fires and the pending read has waited *timeout*
+    seconds, the deadline cancels that task: the read ends with
+    ``asyncio.CancelledError`` and :meth:`reaped` tells this from any
+    other cancellation.  Otherwise the handle is re-armed for the
+    earliest moment the pending (or next) read could expire, so a
+    connection that keeps reading requests faster than *timeout* sees
+    at most one timer callback per *timeout*.  A *timeout* of 0
+    disables the deadline.
+
+    Cancelling the task, not failing the reader, is what makes expiry
+    stick: bytes that reach the reader in the same loop iteration as
+    the timer wake the read first, and a reader exception set after
+    that is seen by no read still waiting.
+    """
+
+    def __init__(self, timeout: float) -> None:
+        self._timeout = timeout
+        self._loop = asyncio.get_running_loop()
+        self._task = asyncio.current_task()
+        self._expired = False
+        self._since: Optional[float] = None  # when the pending read began
+        self._when = 0.0  # when the armed handle fires
+        self._handle: Optional[asyncio.TimerHandle] = None
+        if timeout > 0:
+            self._arm(self._loop.time() + timeout)
+
+    def begin(self) -> None:
+        """Mark the start of a read that the deadline guards."""
+        self._since = self._loop.time()
+
+    def end(self) -> None:
+        """Mark the read finished; the connection is busy, not idle."""
+        self._since = None
+
+    def cancel(self) -> None:
+        """Drop the timer (the connection is closing)."""
+        if self._handle is not None:
+            self._handle.cancel()
+
+    def reaped(self) -> bool:
+        """Whether the deadline cancelled the task (the read timed out).
+
+        Call it on ``asyncio.CancelledError``: when true, the deadline's
+        cancellation is withdrawn (Python 3.11+ counts them) and the
+        caller ends the connection; when false, re-raise.
+        """
+        if self._expired and self._task is not None:
+            uncancel = getattr(self._task, "uncancel", None)
+            if uncancel is not None:
+                uncancel()
+        return self._expired
+
+    def _arm(self, when: float) -> None:
+        self._when = when
+        self._handle = self._loop.call_at(when, self._fire)
+
+    def _fire(self) -> None:
+        since = self._since
+        if since is not None and since + self._timeout <= self._when:
+            self._expired = True
+            if self._task is not None:
+                self._task.cancel()
+            return
+        start = self._loop.time() if since is None else since
+        self._arm(start + self._timeout)
 
 
 def synth_body(url: str, size: int) -> bytes:

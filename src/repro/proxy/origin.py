@@ -134,10 +134,11 @@ class OriginServer:
                     # Echo the proxy's trace context so the fetch span
                     # can be matched to this served request.
                     headers[TRACE_HEADER] = trace
-                writer.write(
-                    response_head(200, len(body), headers, keep_alive)
+                await stream_body(
+                    writer,
+                    body,
+                    head=response_head(200, len(body), headers, keep_alive),
                 )
-                await stream_body(writer, body)
                 await writer.drain()
                 if not keep_alive:
                     break

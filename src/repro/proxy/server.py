@@ -79,6 +79,7 @@ from repro.summaries.bloom import BloomRemote, BloomSummary
 from repro.proxy.http import (
     HttpRequest,
     HttpResponse,
+    IdleDeadline,
     read_request,
     read_response,
     response_head,
@@ -974,7 +975,10 @@ class SummaryCacheProxy:
         ``max_requests_per_connection`` (when set) forces a
         ``Connection: close`` after that many responses.  The loop ends
         on ``Connection: close``, clean client EOF, the idle timeout,
-        or a framing error (answered with a final 400).
+        or a framing error (answered with a final 400).  The idle
+        timeout reaps a read that has waited ``idle_timeout`` for a
+        whole request head; one :class:`IdleDeadline` timer per
+        connection enforces it, not a timer per request.
         """
         self._m.connections_open.inc()
         self._client_writers.add(writer)
@@ -982,22 +986,22 @@ class SummaryCacheProxy:
             high=self.config.max_inflight_bytes
         )
         served = 0
+        deadline = IdleDeadline(self.config.idle_timeout)
         try:
             while True:
+                deadline.begin()
                 try:
-                    if self.config.idle_timeout > 0:
-                        request = await asyncio.wait_for(
-                            read_request(reader),
-                            timeout=self.config.idle_timeout,
-                        )
-                    else:
-                        request = await read_request(reader)
-                except asyncio.TimeoutError:
+                    request = await read_request(reader)
+                except asyncio.CancelledError:
+                    if not deadline.reaped():
+                        raise
                     break  # idle (or glacially slow) connection reaped
                 except ProtocolError:
+                    deadline.end()
                     write_response(writer, 400, keep_alive=False)
                     await writer.drain()
                     break
+                deadline.end()
                 if request is None:
                     break  # client finished its keep-alive conversation
                 served += 1
@@ -1035,6 +1039,7 @@ class SummaryCacheProxy:
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
+            deadline.cancel()
             self._m.connections_open.dec()
             self._client_writers.discard(writer)
             writer.close()
@@ -1317,19 +1322,21 @@ class SummaryCacheProxy:
         headers: Dict[str, str],
         keep_alive: bool,
     ) -> None:
-        """Write a 200 head, then stream *body* with backpressure.
+        """Write a 200 head and stream *body* with backpressure.
 
-        The body bytes travel as memoryview slices over the cached
-        object -- no per-response copy -- and ``drain()`` is awaited
-        whenever more than ``max_inflight_bytes`` sit unsent, so a slow
-        client bounds its own buffer instead of the proxy's heap.
+        The head leaves in one write with the first body chunk, so a
+        body of at most ``stream_chunk_bytes`` costs one send.  Later
+        chunks travel as memoryview slices over the cached object, and
+        ``drain()`` is awaited whenever more than ``max_inflight_bytes``
+        sit unsent, so a slow client bounds its own buffer instead of
+        the proxy's heap.
         """
-        writer.write(response_head(200, len(body), headers, keep_alive))
         waits = await stream_body(
             writer,
             body,
             chunk_size=self.config.stream_chunk_bytes,
             max_inflight=self.config.max_inflight_bytes,
+            head=response_head(200, len(body), headers, keep_alive),
         )
         if waits:
             self._m.backpressure_waits.inc(waits)

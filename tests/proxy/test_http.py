@@ -14,6 +14,7 @@ from repro.proxy.http import (
     read_body,
     read_request,
     read_response,
+    response_head,
     stream_body,
     synth_body,
     write_request,
@@ -240,6 +241,92 @@ class TestStreamBody:
             )
         )
         assert writer.data == body
+        assert waits == 2
+        assert writer.drains == 2
+
+
+class _RecordingWriter(_StreamWriterStub):
+    """Logs every write (its bytes) and every drain, in order."""
+
+    def __init__(self, buffer_sizes=()):
+        super().__init__(buffer_sizes)
+        self.log = []
+
+    def write(self, data) -> None:
+        super().write(data)
+        self.log.append(bytes(data))
+
+    async def drain(self):
+        await super().drain()
+        self.log.append("drain")
+
+
+def _stream(body, head, chunk_size=4096, buffer_sizes=()):
+    writer = _RecordingWriter(buffer_sizes)
+    waits = asyncio.run(
+        stream_body(
+            writer,
+            body,
+            chunk_size=chunk_size,
+            max_inflight=256 * 1024,
+            head=head,
+        )
+    )
+    return writer, waits
+
+
+def _head(size):
+    return response_head(200, size, {"X-Cache": "HIT"}, keep_alive=True)
+
+
+class TestStreamBodyWrites:
+    """The head rides with the first chunk: one send per short response."""
+
+    @pytest.mark.parametrize("size", [0, 1, 1000, 4096])
+    def test_head_and_body_within_a_chunk_is_one_write(self, size):
+        body = synth_body("w", size)
+        writer, waits = _stream(body, _head(size))
+        assert writer.log == [_head(size) + body]
+        assert waits == 0
+
+    def test_longer_body_writes_head_with_first_chunk_then_slices(self):
+        body = synth_body("w", 3 * 4096 + 100)
+        writer, _ = _stream(body, _head(len(body)))
+        assert writer.log == [
+            _head(len(body)) + body[:4096],
+            body[4096:8192],
+            body[8192:12288],
+            body[12288:],
+        ]
+
+    @pytest.mark.parametrize("size", [0, 1, 4095, 4096, 4097, 8192, 50_000])
+    @pytest.mark.parametrize("chunk_size", [1, 1000, 4096])
+    def test_bytes_reassemble_into_the_response(self, size, chunk_size):
+        body = synth_body("r", size)
+        writer, _ = _stream(body, _head(size), chunk_size=chunk_size)
+        assert writer.data == _head(size) + body
+        assert len(writer.log) == max(1, -(-size // chunk_size))
+        assert parse_response(writer.data).body == body
+
+    def test_no_head_and_empty_body_writes_nothing(self):
+        writer, waits = _stream(b"", b"")
+        assert writer.log == []
+        assert waits == 0
+
+    def test_drains_after_each_write_above_max_inflight(self):
+        # Over the ceiling after the first (head) write and the third.
+        body = synth_body("s", 3 * 4096)
+        head = _head(len(body))
+        writer, waits = _stream(
+            body, head, buffer_sizes=[300_000, 0, 300_000]
+        )
+        assert writer.log == [
+            head + body[:4096],
+            "drain",
+            body[4096:8192],
+            body[8192:],
+            "drain",
+        ]
         assert waits == 2
         assert writer.drains == 2
 

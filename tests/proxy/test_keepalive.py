@@ -11,12 +11,19 @@ behaviour versus the one-connection-per-GET discipline.
 from __future__ import annotations
 
 import asyncio
+from collections import Counter
 from dataclasses import replace
 
 from repro.core.summary import SummaryConfig
 from repro.proxy import ProxyCluster, ProxyConfig, ProxyMode
 from repro.proxy.client import ClientDriver
-from repro.proxy.http import read_response, synth_body, write_request
+from repro.proxy.http import (
+    IdleDeadline,
+    read_request,
+    read_response,
+    synth_body,
+    write_request,
+)
 
 
 def run(coro):
@@ -251,6 +258,233 @@ class TestKeepAliveLoop:
                 return response
 
         assert run(scenario()).status == 400
+
+
+class TestIdleDeadline:
+    """The per-connection idle deadline that replaced ``wait_for``."""
+
+    def test_half_sent_head_is_reaped_without_response(self):
+        timeout = 0.2
+
+        async def scenario():
+            config = replace(BASE_CONFIG, idle_timeout=timeout)
+            async with ProxyCluster(
+                num_proxies=1, mode=ProxyMode.NO_ICP, base_config=config
+            ) as cluster:
+                loop = asyncio.get_running_loop()
+                # Start the clock before connecting: the proxy's read
+                # (and so its deadline) cannot begin any earlier.
+                start = loop.time()
+                reader, writer = await _connect(cluster)
+                writer.write(b"GET http://stall.com/x HTTP/1.1\r\nX-Si")
+                await writer.drain()
+                data = await asyncio.wait_for(reader.read(1024), timeout=5.0)
+                elapsed = loop.time() - start
+                writer.close()
+                return data, elapsed, cluster.proxies[0].stats
+
+        data, elapsed, stats = run(scenario())
+        assert data == b""  # closed, and no 400 or other response bytes
+        assert timeout <= elapsed < timeout + 2.0
+        assert stats.http_requests == 0
+
+    def test_steady_client_is_never_reaped(self):
+        # One request every timeout/3 for 4 * timeout: a deadline
+        # measured from connection start (or from the first arming)
+        # instead of from each read would reap this client.
+        timeout = 0.3
+
+        async def scenario():
+            config = replace(BASE_CONFIG, idle_timeout=timeout)
+            async with ProxyCluster(
+                num_proxies=1, mode=ProxyMode.NO_ICP, base_config=config
+            ) as cluster:
+                reader, writer = await _connect(cluster)
+                responses = []
+                for i in range(12):
+                    write_request(
+                        writer,
+                        f"http://steady.com/d{i % 3}",
+                        {"X-Size": "64"},
+                        keep_alive=True,
+                    )
+                    await writer.drain()
+                    responses.append(await read_response(reader))
+                    await asyncio.sleep(timeout / 3)
+                writer.close()
+                return responses, cluster.proxies[0].stats
+
+        responses, stats = run(scenario())
+        assert [r.status for r in responses] == [200] * 12
+        assert all(r.keep_alive for r in responses)
+        assert stats.http_requests == 12
+
+    def test_keepalive_hits_create_no_task_or_timer_per_request(self):
+        hits = 50
+
+        async def scenario():
+            config = replace(BASE_CONFIG, idle_timeout=30.0)
+            async with ProxyCluster(
+                num_proxies=1, mode=ProxyMode.NO_ICP, base_config=config
+            ) as cluster:
+                reader, writer = await _connect(cluster)
+
+                async def get():
+                    write_request(
+                        writer, "http://hot.com/x", {"X-Size": "256"},
+                        keep_alive=True,
+                    )
+                    await writer.drain()
+                    return await read_response(reader)
+
+                await get()  # the miss that caches the document
+                loop = asyncio.get_running_loop()
+                counts = Counter()
+                create_task, call_at = loop.create_task, loop.call_at
+
+                def counted_create_task(*args, **kwargs):
+                    counts["tasks"] += 1
+                    return create_task(*args, **kwargs)
+
+                def counted_call_at(*args, **kwargs):
+                    counts["timers"] += 1
+                    return call_at(*args, **kwargs)
+
+                loop.create_task = counted_create_task
+                loop.call_at = counted_call_at
+                try:
+                    responses = [await get() for _ in range(hits)]
+                finally:
+                    del loop.create_task, loop.call_at
+                writer.close()
+                return responses, counts
+
+        responses, counts = run(scenario())
+        assert [r.header("x-cache") for r in responses] == ["HIT"] * hits
+        # O(1), not O(hits): a ``wait_for`` per read made a timer (and,
+        # before Python 3.12, a Task) per hit.
+        assert counts["tasks"] <= 2
+        assert counts["timers"] <= 2
+
+    def test_zero_timeout_arms_no_timer(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            armed = []
+            call_at = loop.call_at
+
+            def counted_call_at(*args, **kwargs):
+                armed.append(args[0])
+                return call_at(*args, **kwargs)
+
+            loop.call_at = counted_call_at
+            try:
+                deadline = IdleDeadline(0.0)
+                deadline.begin()
+                deadline.end()
+                deadline.cancel()
+            finally:
+                del loop.call_at
+            return armed
+
+        assert run(scenario()) == []
+
+    def test_pending_read_is_reaped(self):
+        timeout = 0.05
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            reader = asyncio.StreamReader()
+
+            async def serve():
+                deadline = IdleDeadline(timeout)
+                await asyncio.sleep(0.08)  # busy, not reading: re-armed
+                start = loop.time()
+                outcome = await _guarded_read(reader, deadline)
+                deadline.cancel()
+                return outcome, loop.time() - start
+
+            return await asyncio.wait_for(loop.create_task(serve()), 5.0)
+
+        outcome, elapsed = run(scenario())
+        # Reaped by the deadline, not by the 5 s safety net.
+        assert outcome == "reaped"
+        assert timeout <= elapsed < 2.0
+
+    def test_outside_cancellation_is_not_reaped(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            reader = asyncio.StreamReader()
+
+            async def serve():
+                deadline = IdleDeadline(30.0)
+                try:
+                    return await _guarded_read(reader, deadline)
+                finally:
+                    deadline.cancel()
+
+            task = loop.create_task(serve())
+            await asyncio.sleep(0)  # the read is now pending
+            task.cancel()
+            try:
+                await task
+            except asyncio.CancelledError:
+                return "cancelled"
+            return "returned"
+
+        assert run(scenario()) == "cancelled"
+
+    def test_expiry_sticks_when_bytes_arrive_in_the_same_iteration(self):
+        # One loop iteration runs I/O callbacks before expired timers,
+        # so bytes can wake the pending read just before the deadline
+        # fires.  The read must still end: a half head must not wait on
+        # with no timer armed, and a whole head must not be served on a
+        # connection whose deadline has passed.
+        timeout = 30.0
+
+        async def scenario(data):
+            loop = asyncio.get_running_loop()
+            reader = asyncio.StreamReader()
+            made = loop.create_future()
+
+            async def serve():
+                deadline = IdleDeadline(timeout)
+                made.set_result(deadline)
+                try:
+                    return await _guarded_read(reader, deadline)
+                finally:
+                    deadline.cancel()
+
+            task = loop.create_task(serve())
+            deadline = await made
+            await asyncio.sleep(0)  # the read is now pending
+            deadline.cancel()  # fire by hand, not from the real handle
+            # The pending read has waited the whole timeout as of the
+            # moment the handle fires.
+            deadline._since = deadline._when - timeout
+
+            def bytes_then_timer():
+                reader.feed_data(data)
+                deadline._fire()
+
+            loop.call_soon(bytes_then_timer)
+            return await asyncio.wait_for(task, 5.0)
+
+        for data in (b"GET ", b"GET http://x.com/ HTTP/1.1\r\n\r\n"):
+            assert run(scenario(data)) == "reaped"
+
+
+async def _guarded_read(reader, deadline):
+    """The proxy loop's guarded read: ``"reaped"`` on expiry, else the
+    request."""
+    deadline.begin()
+    try:
+        return await read_request(reader)
+    except asyncio.CancelledError:
+        if not deadline.reaped():
+            raise
+        return "reaped"
+    finally:
+        deadline.end()
 
 
 class TestClientDriverKeepAlive:
